@@ -1456,53 +1456,52 @@ unsafe fn spawn_subflow(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode, detac
     if sub.is_empty() {
         return false;
     }
-    // Runtime-built graphs get the same sanitation as dispatched ones: a
+    // Runtime-built graphs get the same analysis as dispatched ones: a
     // cyclic subflow would keep the topology's `alive` counter from ever
     // reaching zero, wedging `wait_for_all`. Record the typed error and
     // spawn nothing (the parent completes as an empty subflow).
-    //
-    // SAFETY: no child has been spawned, so the subgraph is quiescent.
-    let diagnostics = unsafe { crate::validate::validate_graph(sub) };
-    if diagnostics.iter().any(|d| d.is_fatal()) {
+    crate::validate::with_scratch(|scratch| {
         // SAFETY: the topology pointer was armed at dispatch and its
         // storage is kept alive by the executor's `running` registry.
         let topo_ptr = unsafe { *(*node).state.topology.get() };
-        // SAFETY: `topo_ptr` is live (see above); `record_error` is
-        // internally synchronized.
-        unsafe { (*topo_ptr).record_error(RunError::InvalidGraph(diagnostics)) };
-        return false;
-    }
-    // SAFETY: armed at dispatch, kept alive by `running` (see above).
-    let topo_ptr = unsafe { *(*node).state.topology.get() };
-    // The topology must know about the children before any of them can
-    // finish, otherwise `alive` could hit zero early.
-    //
-    // SAFETY: `topo_ptr` is live; `alive` is an atomic.
-    unsafe { (*topo_ptr).alive.fetch_add(sub.len(), Ordering::Relaxed) };
-    if !detached {
-        // +1 sentinel held by the parent until spawning finishes; prevents
-        // the children from completing the parent while we still arm their
-        // siblings.
+        // SAFETY: no child has been spawned, so the subgraph is quiescent.
+        if !unsafe { scratch.analyze(sub, None) } {
+            // SAFETY: still quiescent; only a rejected subflow builds the
+            // full report.
+            let diagnostics = unsafe { crate::validate::validate_graph(sub) };
+            // SAFETY: `topo_ptr` is live (see above); `record_error` is
+            // internally synchronized.
+            unsafe { (*topo_ptr).record_error(RunError::InvalidGraph(diagnostics)) };
+            return false;
+        }
+        // The topology must know about the children before any of them
+        // can finish, otherwise `alive` could hit zero early.
         //
-        // SAFETY: `node` is ours (executing worker); `nested` is atomic.
-        unsafe { (*node).state.nested.store(sub.len() + 1, Ordering::Relaxed) };
-    }
-    let parent: RawNode = if detached { std::ptr::null_mut() } else { node };
-    for child in sub.nodes.iter_mut() {
-        // SAFETY: `child` is a boxed node owned by the subgraph; it has
-        // not been scheduled yet, so we have exclusive access.
-        unsafe { child.rearm(topo_ptr, parent) };
-    }
-    for i in 0..sub.nodes.len() {
-        let c: RawNode = &mut *sub.nodes[i];
-        // SAFETY: in-degree is frozen once the subflow closure returned.
-        if unsafe { *(*c).structure.in_degree.get() } == 0 {
+        // SAFETY: `topo_ptr` is live; `alive` is an atomic.
+        unsafe { (*topo_ptr).alive.fetch_add(sub.len(), Ordering::Relaxed) };
+        if !detached {
+            // +1 sentinel held by the parent until spawning finishes;
+            // prevents the children from completing the parent while we
+            // still arm their siblings.
+            //
+            // SAFETY: `node` is ours (executing worker); `nested` is atomic.
+            unsafe { (*node).state.nested.store(sub.len() + 1, Ordering::Relaxed) };
+        }
+        let parent: RawNode = if detached { std::ptr::null_mut() } else { node };
+        for child in sub.nodes.iter_mut() {
+            // SAFETY: `child` is a boxed node owned by the subgraph; it has
+            // not been scheduled yet, so we have exclusive access.
+            unsafe { child.rearm(topo_ptr, parent) };
+        }
+        // Every child is armed before the first source is published.
+        for &i in scratch.sources() {
+            let c: RawNode = &mut *sub.nodes[i as usize];
             // SAFETY: `c` is armed (join counter = in-degree = 0) and its
             // topology alive.
             unsafe { schedule(inner, ctx, c) };
         }
-    }
-    !detached
+        !detached
+    })
 }
 
 /// Completion bookkeeping: release successors, count down the topology,

@@ -75,6 +75,11 @@ pub(crate) struct NodeStructure {
     /// Per-task retry policy ([`Task::retry`](crate::Task::retry));
     /// [`RetryPolicy::none`] by default.
     pub(crate) retry: SyncCell<RetryPolicy>,
+    /// Position in the owning graph's `nodes`, set once by
+    /// [`Graph::emplace`] and never written again. The graph analysis
+    /// ([`crate::validate`]) maps an edge target to its index with this
+    /// load plus a pointer-equality check against `graph.nodes[index]`.
+    pub(crate) index: usize,
 }
 
 /// How many times a panicking task is re-executed before its panic is
@@ -159,6 +164,7 @@ impl Node {
                 successors: SyncCell::new(Vec::new()),
                 in_degree: SyncCell::new(0),
                 retry: SyncCell::new(RetryPolicy::none()),
+                index: 0,
             },
             state: NodeState {
                 join_counter: AtomicUsize::new(0),
@@ -254,9 +260,10 @@ impl Graph {
         Graph { nodes: Vec::new() }
     }
 
-    /// Adds a node and returns its stable address.
+    /// Adds a node, records its index, and returns its stable address.
     pub(crate) fn emplace(&mut self, work: Work) -> RawNode {
         let mut node = Node::new(work);
+        node.structure.index = self.nodes.len();
         let ptr: RawNode = &mut *node;
         self.nodes.push(node);
         ptr
@@ -309,6 +316,7 @@ mod tests {
         for (i, p) in ptrs.iter().enumerate() {
             let actual: RawNode = &mut *g.nodes[i];
             assert_eq!(*p, actual);
+            assert_eq!(g.nodes[i].structure.index, i);
         }
     }
 

@@ -249,6 +249,14 @@ impl Taskflow {
     /// every finding: dependency cycles (with their label path),
     /// self-edges, duplicate `precede` edges, and orphan tasks.
     ///
+    /// Findings come per task in emplacement order (its self-edge, its
+    /// duplicate edges in the order their first copy was added, its
+    /// orphan flag), followed by at most one cycle. The analysis is one
+    /// hash-free sweep over the tasks and their edges; acyclicity is
+    /// decided by Kahn-style in-degree counting, and a depth-first search
+    /// runs only to name a cycle once one is known to exist. Edges into
+    /// another taskflow's tasks are not followed.
+    ///
     /// An empty result means [`Taskflow::dispatch`] (and the first
     /// [`Taskflow::run`]) will hand the graph to the executor; fatal
     /// findings ([`GraphDiagnostic::is_fatal`]) make them resolve the

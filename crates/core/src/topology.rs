@@ -217,31 +217,31 @@ unsafe impl Send for Topology {}
 unsafe impl Sync for Topology {}
 
 impl Topology {
-    /// Freezes `graph` into a reusable topology: runs the sanitizer once,
-    /// caches its verdict, and caches the source set. The failure policy
-    /// is frozen alongside the structure.
+    /// Freezes `graph` into a reusable topology: runs the graph analysis
+    /// once, caches its verdict, and caches the source set the analysis
+    /// found. The failure policy is frozen alongside the structure.
     pub(crate) fn new(mut graph: Graph, policy: FailurePolicy) -> std::sync::Arc<Topology> {
-        // SAFETY: the graph was just moved here; no other thread sees it.
-        let diagnostics = unsafe { validate::validate_graph(&graph) };
-        let mut fatal = diagnostics
-            .iter()
-            .any(crate::GraphDiagnostic::is_fatal)
-            .then(|| RunError::InvalidGraph(diagnostics.clone()));
-        let mut sources = Vec::new();
-        for node in graph.nodes.iter_mut() {
-            // SAFETY: exclusive access (see above); in-degree is frozen.
-            if unsafe { *node.structure.in_degree.get() } == 0 {
-                let p: *mut crate::graph::Node = &mut **node;
-                sources.push(p as usize);
-            }
-        }
-        if sources.is_empty() && !graph.is_empty() && fatal.is_none() {
-            // Every node has a predecessor, so the graph is cyclic and
-            // could never make progress. The cycle detector above flags
-            // this, but stay defensive: publishing no sources while
-            // arming `alive` would wedge every waiter forever.
-            fatal = Some(RunError::InvalidGraph(diagnostics));
-        }
+        let (runnable, sources) = validate::with_scratch(|scratch| {
+            // SAFETY: the graph was just moved here; no other thread sees it.
+            let runnable = unsafe { scratch.analyze(&graph, None) };
+            let sources: Vec<usize> = scratch
+                .sources()
+                .iter()
+                .map(|&i| {
+                    let p: *mut crate::graph::Node = &mut *graph.nodes[i as usize];
+                    p as usize
+                })
+                .collect();
+            (runnable, sources)
+        });
+        // Beyond cycles and self-edges, a non-empty graph without a source
+        // (every node preceded from another graph) is rejected too:
+        // publishing no sources while arming `alive` would wedge every
+        // waiter forever. Only a rejected graph pays for the full report.
+        let fatal = (!runnable || (sources.is_empty() && !graph.is_empty())).then(|| {
+            // SAFETY: as above.
+            RunError::InvalidGraph(unsafe { validate::validate_graph(&graph) })
+        });
         std::sync::Arc::new(Topology {
             uid: NEXT_TOPOLOGY_UID.fetch_add(1, Ordering::Relaxed),
             run_id: AtomicU64::new(0),
@@ -651,7 +651,7 @@ fn predicate_panic(payload: &(dyn std::any::Any + Send), iteration: u64) -> RunE
 mod tests {
     use super::*;
     use crate::future::promise_pair;
-    use crate::graph::Work;
+    use crate::graph::{RawNode, Work};
 
     fn batch(cond: RunCondition) -> (PendingRun, crate::future::SharedFuture<RunResult>) {
         let (promise, future) = promise_pair();
@@ -692,6 +692,54 @@ mod tests {
         }
         let topo = topo_of(g);
         assert!(matches!(topo.fatal(), Some(RunError::InvalidGraph(_))));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random graphs with cycles, self-edges, duplicates and edges
+        /// from a second graph: the cached sources are exactly the nodes
+        /// whose static in-degree is zero, in index order, and the cached
+        /// verdict matches the full report.
+        #[test]
+        #[cfg_attr(miri, ignore = "hundreds of generated graphs; too slow under miri")]
+        fn cached_sources_are_the_in_degree_zero_nodes(
+            n in 1usize..24,
+            edges in proptest::collection::vec((0usize..24, 0usize..24), 0..48),
+            incoming in proptest::collection::vec(0usize..24, 0..4),
+        ) {
+            let mut g = Graph::new();
+            let nodes: Vec<RawNode> = (0..n).map(|_| g.emplace(Work::Empty)).collect();
+            let mut other = Graph::new();
+            let outside = other.emplace(Work::Empty);
+            // SAFETY: single-threaded build phase.
+            unsafe {
+                for &(u, v) in &edges {
+                    (*nodes[u % n]).structure.successors.get_mut().push(nodes[v % n]);
+                    *(*nodes[v % n]).structure.in_degree.get_mut() += 1;
+                }
+                for &v in &incoming {
+                    (*outside).structure.successors.get_mut().push(nodes[v % n]);
+                    *(*nodes[v % n]).structure.in_degree.get_mut() += 1;
+                }
+            }
+            let expected: Vec<usize> = nodes
+                .iter()
+                // SAFETY: single-threaded build phase.
+                .filter(|&&p| unsafe { *(*p).structure.in_degree.get() } == 0)
+                .map(|&p| p as usize)
+                .collect();
+            // SAFETY: single-threaded build phase.
+            let diagnostics = unsafe { validate::validate_graph(&g) };
+            let rejected = diagnostics.iter().any(crate::GraphDiagnostic::is_fatal)
+                || expected.is_empty();
+            let topo = topo_of(g);
+            proptest::prop_assert_eq!(&topo.sources, &expected);
+            // The verdict-only analysis rejects exactly what the full
+            // report calls fatal, and the rejection carries that report.
+            let want = rejected.then_some(RunError::InvalidGraph(diagnostics));
+            proptest::prop_assert_eq!(topo.fatal(), want.as_ref());
+        }
     }
 
     #[test]

@@ -228,3 +228,94 @@ fn annotated_dump_highlights_cycle_nodes() {
     // The plain dump stays unannotated.
     assert!(!tf.dump().contains("fillcolor"));
 }
+
+#[test]
+fn duplicate_edges_are_reported_in_successor_order_on_every_call() {
+    let tf = Taskflow::new();
+    let a = tf.emplace(|| {}).name("A");
+    let b = tf.emplace(|| {}).name("B");
+    let c = tf.emplace(|| {}).name("C");
+    let d = tf.emplace(|| {}).name("D");
+    // C is reached first, so its finding comes first although B has more
+    // copies and a lower index.
+    a.precede(c);
+    a.precede(b);
+    a.precede(c);
+    a.precede(d);
+    a.precede(b);
+    a.precede(b);
+    let dup = |to: &str, to_node, count| GraphDiagnostic::DuplicateEdge {
+        from: "A".into(),
+        to: to.into(),
+        from_node: 0,
+        to_node,
+        count,
+    };
+    let expected = vec![dup("C", 2, 2), dup("B", 1, 3)];
+    for _ in 0..32 {
+        assert_eq!(tf.validate(), expected);
+    }
+}
+
+/// A child body that counts its runs in `slots[slot]`.
+fn counted_child(slots: &Arc<Vec<AtomicUsize>>, slot: usize) -> impl FnMut() + Send + 'static {
+    let slots = Arc::clone(slots);
+    move || {
+        slots[slot].fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn subflow_alternating_cyclic_and_acyclic_children_leaves_no_stale_state() {
+    // One worker, so both spawns analyze on the same thread and reuse its
+    // scratch.
+    let tf = Taskflow::with_executor(Executor::new(1));
+    let slots: Arc<Vec<AtomicUsize>> = Arc::new((0..6).map(|_| AtomicUsize::new(0)).collect());
+    let s = Arc::clone(&slots);
+    let mut cyclic = true;
+    tf.emplace_subflow(move |sf| {
+        if std::mem::take(&mut cyclic) {
+            let x = sf.emplace(|| panic!("child of a cyclic subflow must not run"));
+            let y = sf.emplace(|| panic!("child of a cyclic subflow must not run"));
+            let z = sf.emplace(|| panic!("child of a cyclic subflow must not run"));
+            x.name("X").precede(y.name("Y"));
+            y.precede(z.name("Z"));
+            z.precede(x);
+            return;
+        }
+        // Six children, with edges pointing backward in emplacement order
+        // so the spawn takes the Kahn path, not the forward-only shortcut.
+        let t: Vec<_> = (0..6).map(|i| sf.emplace(counted_child(&s, i))).collect();
+        t[5].precede([t[3], t[4]]);
+        t[4].precede(t[2]);
+        t[3].precede(t[2]);
+        t[2].precede([t[0], t[1]]);
+    });
+    match tf.run().get() {
+        Err(RunError::InvalidGraph(diags)) => match &diags[..] {
+            [GraphDiagnostic::Cycle { path, .. }] => assert_eq!(path, &["X", "Y", "Z", "X"]),
+            other => panic!("expected one Cycle, got {other:?}"),
+        },
+        other => panic!("expected InvalidGraph, got {other:?}"),
+    }
+    assert!(tf.run().get().is_ok());
+    for (i, slot) in slots.iter().enumerate() {
+        assert_eq!(slot.load(Ordering::SeqCst), 1, "child {i} run count");
+    }
+}
+
+#[test]
+fn edgeless_subflow_spawns_every_child_and_records_nothing() {
+    let tf = Taskflow::with_executor(Executor::new(2));
+    let slots: Arc<Vec<AtomicUsize>> = Arc::new((0..5).map(|_| AtomicUsize::new(0)).collect());
+    let s = Arc::clone(&slots);
+    tf.emplace_subflow(move |sf| {
+        for i in 0..5 {
+            sf.emplace(counted_child(&s, i));
+        }
+    });
+    assert!(tf.dispatch().get().is_ok());
+    for (i, slot) in slots.iter().enumerate() {
+        assert_eq!(slot.load(Ordering::SeqCst), 1, "child {i} run count");
+    }
+}
